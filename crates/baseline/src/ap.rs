@@ -128,6 +128,12 @@ impl BaselineAp {
         v
     }
 
+    /// Whether [`Self::tx_ready_clients`] would be non-empty, without
+    /// collecting or sorting it (the event loop asks on every kick).
+    pub fn has_tx_ready(&self) -> bool {
+        self.clients.values().any(|q| q.has_work())
+    }
+
     /// Round-robin pick of the next client to serve.
     pub fn next_tx_client(&mut self) -> Option<NodeId> {
         let ready = self.tx_ready_clients();

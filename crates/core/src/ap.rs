@@ -92,6 +92,17 @@ impl ApClientState {
             in_flight_meta: None,
         }
     }
+
+    /// Transmittable downlink work: any queued data when serving, only
+    /// NIC staging or retries left to drain otherwise, and never while
+    /// an A-MPDU is in flight.
+    fn tx_ready(&self) -> bool {
+        if self.ba.has_in_flight() {
+            return false;
+        }
+        let drainable = !self.nic.is_empty() || !self.retries.is_empty();
+        drainable || (self.serving && !self.cyclic.is_empty())
+    }
 }
 
 /// One WGTT access point.
@@ -261,21 +272,17 @@ impl ApAgent {
         let mut v: Vec<NodeId> = self
             .clients
             .iter()
-            .filter(|(_, st)| {
-                if st.ba.has_in_flight() {
-                    return false;
-                }
-                let drainable = !st.nic.is_empty() || !st.retries.is_empty();
-                if st.serving {
-                    drainable || !st.cyclic.is_empty()
-                } else {
-                    drainable
-                }
-            })
+            .filter(|(_, st)| st.tx_ready())
             .map(|(&c, _)| c)
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Whether [`Self::tx_ready_clients`] would be non-empty, without
+    /// collecting or sorting it (the event loop asks on every kick).
+    pub fn has_tx_ready(&self) -> bool {
+        self.clients.values().any(ApClientState::tx_ready)
     }
 
     /// Pick the next client to transmit to (round-robin across ready
@@ -543,6 +550,7 @@ mod tests {
         assert_eq!(ap.backlog(CLIENT), 100);
         assert!(!ap.is_serving(CLIENT));
         assert!(ap.tx_ready_clients().is_empty(), "non-serving AP is silent");
+        assert!(!ap.has_tx_ready());
     }
 
     #[test]
@@ -670,6 +678,7 @@ mod tests {
         // Still drains: retries + what is left in NIC staging — but the
         // cyclic backlog is never touched again.
         assert_eq!(ap.tx_ready_clients(), vec![CLIENT]);
+        assert!(ap.has_tx_ready());
         let backlog_before = ap.backlog(CLIENT);
         let mut drained = 0;
         let mut guard = 0;

@@ -15,7 +15,13 @@
 //! * identical [`ControllerStats`] (counters, and bit-identical
 //!   switch-duration moments),
 //! * identical `next_timeout()`,
-//! * identical per-client serving APs.
+//! * identical per-client serving APs,
+//!
+//! and, on the shipping controller alone, the two deadline properties
+//! the world's event loop relies on to queue a single poll per
+//! deadline (`Diff::check_deadline_order`): `next_timeout()` never
+//! decreases, and every deadline it returns lies strictly after the
+//! instant of the Stop that armed it, by exactly the ack timeout.
 //!
 //! Alongside the differential suite live the deterministic accounting
 //! regressions nothing previously pinned (`downlink_no_ap`, uplink
@@ -66,6 +72,11 @@ struct Diff {
     /// from the oracle's action stream so acks can be made valid.
     last_stop: HashMap<NodeId, (u64, NodeId)>,
     seq: u32,
+    /// Instants at which any Stop was sent (each one arms a deadline).
+    stop_sent_at: Vec<SimTime>,
+    /// The latest deadline `next_timeout()` returned.
+    last_deadline: Option<SimTime>,
+    ack_timeout: SimDuration,
 }
 
 #[allow(clippy::type_complexity)]
@@ -98,6 +109,9 @@ impl Diff {
             factory: PacketFactory::new(),
             last_stop: HashMap::new(),
             seq: 0,
+            stop_sent_at: Vec::new(),
+            last_deadline: None,
+            ack_timeout: cfg.switch_ack_timeout,
         }
     }
 
@@ -209,8 +223,10 @@ impl Diff {
             } = a
             {
                 self.last_stop.insert(*client, (*switch_id, *next_ap));
+                self.stop_sent_at.push(self.now);
             }
         }
+        self.check_deadline_order();
         assert_eq!(
             self.ship.next_timeout(),
             self.oracle.next_timeout(),
@@ -229,6 +245,27 @@ impl Diff {
                 "serving({c:?}) diverged"
             );
         }
+    }
+
+    /// The world queues one `CtlPoll` per distinct deadline, which is
+    /// only sound if `next_timeout()` never moves backward (a `None` in
+    /// between included: the next switch arms at a later `now`) and if
+    /// no deadline is due at the instant that armed it — a poll firing
+    /// at some instant can then never arm work due at that same instant.
+    fn check_deadline_order(&mut self) {
+        let Some(t) = self.ship.next_timeout() else {
+            return;
+        };
+        if let Some(prev) = self.last_deadline {
+            assert!(t >= prev, "next_timeout moved backward: {prev} -> {t}");
+        }
+        self.last_deadline = Some(t);
+        assert!(
+            self.stop_sent_at
+                .iter()
+                .any(|&armed| armed < t && armed + self.ack_timeout == t),
+            "deadline {t} is not one ack timeout after any Stop"
+        );
     }
 
     /// Drain every pending timeout through both controllers: polls at

@@ -19,7 +19,7 @@
 //! outage instead of a NaN.
 
 use crate::testbed::{ClientPlan, Direction, StopAndGo, TestbedConfig, MPH};
-use crate::world::{FlowSpec, SystemKind, World};
+use crate::world::{FlowSpec, SystemKind, World, EVENT_KINDS};
 use wgtt_apps::mix::{AppKind, TrafficMix};
 use wgtt_mac::frame::NodeId;
 use wgtt_radio::Position;
@@ -438,6 +438,9 @@ pub struct FleetReport {
     pub full_outage_vehicles: usize,
     /// Events handled by the run (macro-bench numerator).
     pub events_handled: u64,
+    /// `events_handled` split by kind, indexed like
+    /// [`crate::world::EVENT_KINDS`].
+    pub events_by_kind: [u64; EVENT_KINDS.len()],
     /// Frames that completed on the air (macro-bench numerator).
     pub frames_on_air: u64,
     /// Robustness counters (normally zero; see `RunReport`).
@@ -524,6 +527,7 @@ impl FleetReport {
             outage_cdf,
             full_outage_vehicles,
             events_handled: report.events_handled,
+            events_by_kind: report.events_by_kind,
             frames_on_air: report.frames_on_air,
             backhaul_misaddressed: report.backhaul_misaddressed,
             missing_packet_refs: report.missing_packet_refs,
@@ -547,6 +551,7 @@ impl FleetReport {
         let mut max_ap_load = 0u64;
         let mut full_outage_vehicles = 0usize;
         let mut events_handled = 0u64;
+        let mut events_by_kind = [0u64; EVENT_KINDS.len()];
         let mut frames_on_air = 0u64;
         let mut backhaul_misaddressed = 0u64;
         let mut missing_packet_refs = 0u64;
@@ -561,6 +566,9 @@ impl FleetReport {
             max_ap_load = max_ap_load.max(p.max_ap_load);
             full_outage_vehicles += p.full_outage_vehicles;
             events_handled += p.events_handled;
+            for (sum, n) in events_by_kind.iter_mut().zip(p.events_by_kind) {
+                *sum += n;
+            }
             frames_on_air += p.frames_on_air;
             backhaul_misaddressed += p.backhaul_misaddressed;
             missing_packet_refs += p.missing_packet_refs;
@@ -590,19 +598,21 @@ impl FleetReport {
             outage_cdf,
             full_outage_vehicles,
             events_handled,
+            events_by_kind,
             frames_on_air,
             backhaul_misaddressed,
             missing_packet_refs,
         }
     }
 
-    /// A bit-stable rendering of every aggregate *except*
-    /// `events_handled` (floats via `to_bits`, so equality means bit
-    /// identity). The sharded engine and the monolithic oracle handle
-    /// legitimately different event *counts* — each shard runs its own
-    /// mobility/sample/poll chains — while every physical observable
-    /// must match exactly; worker-count invariance additionally holds
-    /// for the full report including `events_handled`.
+    /// A bit-stable rendering of every aggregate *except* the event
+    /// counts `events_handled` and `events_by_kind` (floats via
+    /// `to_bits`, so equality means bit identity). The sharded engine
+    /// and the monolithic oracle handle legitimately different event
+    /// *counts* — each shard runs its own mobility/sample/poll chains —
+    /// while every physical observable must match exactly; worker-count
+    /// invariance additionally holds for the full report including the
+    /// event counts.
     pub fn equivalence_digest(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -786,6 +796,11 @@ mod tests {
         assert_eq!(report.vehicles, 4);
         assert_eq!(report.per_vehicle.len(), 4);
         assert!(report.events_handled > 0);
+        assert_eq!(
+            report.events_by_kind.iter().sum::<u64>(),
+            report.events_handled,
+            "per-kind counts partition the events"
+        );
         assert!(report.frames_on_air > 0);
         assert_eq!(report.backhaul_misaddressed, 0);
         assert_eq!(report.missing_packet_refs, 0);

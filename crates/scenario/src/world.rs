@@ -234,6 +234,9 @@ pub struct RunReport {
     /// Discrete events handled by [`World::run`] — the macro-bench's
     /// events/s numerator.
     pub events_handled: u64,
+    /// `events_handled` split by event kind, indexed like
+    /// [`EVENT_KINDS`] (which names each slot).
+    pub events_by_kind: [u64; EVENT_KINDS.len()],
     /// Frames whose on-air time completed (data, keepalive and control
     /// alike) — the macro-bench's frames/s numerator.
     pub frames_on_air: u64,
@@ -256,6 +259,29 @@ pub struct RunReport {
     /// The run's duration.
     pub duration: SimDuration,
 }
+
+/// Names of the world's event kinds, in the order
+/// [`RunReport::events_by_kind`] counts them.
+pub const EVENT_KINDS: [&str; 18] = [
+    "Backhaul",
+    "CtlPoll",
+    "ApTxStart",
+    "ClientTxStart",
+    "TxEnd",
+    "BaResponse",
+    "MgmtResponse",
+    "MgmtTx",
+    "BaTimeout",
+    "ClientBaTimeout",
+    "Traffic",
+    "TcpTimer",
+    "Beacon",
+    "RoamPoll",
+    "Mobility",
+    "ConfFeedback",
+    "SampleState",
+    "Keepalive",
+];
 
 /// World events.
 enum Ev {
@@ -329,6 +355,32 @@ enum Ev {
     Keepalive {
         client: NodeId,
     },
+}
+
+impl Ev {
+    /// This event's slot in [`EVENT_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::Backhaul { .. } => 0,
+            Ev::CtlPoll => 1,
+            Ev::ApTxStart { .. } => 2,
+            Ev::ClientTxStart { .. } => 3,
+            Ev::TxEnd { .. } => 4,
+            Ev::BaResponse { .. } => 5,
+            Ev::MgmtResponse { .. } => 6,
+            Ev::MgmtTx { .. } => 7,
+            Ev::BaTimeout { .. } => 8,
+            Ev::ClientBaTimeout { .. } => 9,
+            Ev::Traffic { .. } => 10,
+            Ev::TcpTimer { .. } => 11,
+            Ev::Beacon { .. } => 12,
+            Ev::RoamPoll { .. } => 13,
+            Ev::Mobility => 14,
+            Ev::ConfFeedback { .. } => 15,
+            Ev::SampleState => 16,
+            Ev::Keepalive { .. } => 17,
+        }
+    }
 }
 
 #[allow(clippy::large_enum_variant)] // one per world; boxing buys nothing
@@ -418,6 +470,9 @@ pub struct World {
     /// each dispatch depth pops its own buffer and returns it cleared —
     /// depth-first order preserved, zero steady-state allocation.
     ctl_bufs: Vec<ActionBuf>,
+    /// Instant of the queued `CtlPoll`, if one is queued for the
+    /// controller's current earliest deadline (see `dispatch_ctl_buf`).
+    ctl_poll_at: Option<SimTime>,
     end_at: SimTime,
 }
 
@@ -637,6 +692,7 @@ impl World {
             batch_esnr: true,
             esnr_scratch: Vec::new(),
             ctl_bufs: Vec::new(),
+            ctl_poll_at: None,
             end_at: SimTime::ZERO,
             cfg,
         };
@@ -910,14 +966,14 @@ impl World {
 
     // -------------------------------------------------------- run control
 
-    /// Run the world for `duration`, returning when the queue drains past
-    /// it. Consumes nothing; results accumulate in [`World::report`].
     /// Client node ids in client-index order (index `ci` of the plan /
     /// flow-attachment APIs maps to `client_ids()[ci]`).
     pub fn client_ids(&self) -> Vec<NodeId> {
         self.clients.iter().map(|c| c.id).collect()
     }
 
+    /// Run the world for `duration`, returning when the queue drains past
+    /// it. Consumes nothing; results accumulate in [`World::report`].
     pub fn run(&mut self, duration: SimDuration) {
         self.begin(duration);
         self.advance_until(self.end_at());
@@ -951,6 +1007,7 @@ impl World {
         };
         while let Some((now, ev)) = self.queue.pop_until(cap) {
             self.report.events_handled += 1;
+            self.report.events_by_kind[ev.kind()] += 1;
             self.handle(now, ev);
         }
     }
@@ -1401,6 +1458,30 @@ mod tests {
         // And the sink saw no duplicate deliveries.
         let (_sent, received) = w.report.udp_counts[&FlowId(0)];
         assert!(received <= forwarded);
+    }
+
+    #[test]
+    fn ctl_polls_bounded_by_armed_ack_deadlines() {
+        let mut cfg = crate::fleet::FleetConfig::corridor(20, 8);
+        cfg.duration = SimDuration::from_secs(2);
+        let (mut w, _) = cfg.build_world(SystemKind::Wgtt(WgttConfig::default()), 1);
+        w.run(cfg.duration);
+        let r = &w.report;
+        assert_eq!(
+            r.events_by_kind.iter().sum::<u64>(),
+            r.events_handled,
+            "per-kind counts partition the events"
+        );
+        let SystemState::Wgtt { controller, .. } = &w.system else {
+            unreachable!()
+        };
+        let armed = controller.stats.switches_started + controller.stats.stop_retransmits;
+        assert!(armed > 0, "the corridor must exercise the switch protocol");
+        let polls = r.events_by_kind[Ev::CtlPoll.kind()];
+        assert!(
+            polls <= armed,
+            "{polls} controller polls for {armed} armed ack deadlines"
+        );
     }
 
     // ------------------------------------------- outage accounting edges

@@ -135,10 +135,19 @@ impl World {
                 ControllerAction::ToWan { packet } => self.on_wan_uplink(packet, now),
             }
         }
-        // A switch may have been started: make sure its timeout is polled.
+        // Keep one poll queued at the controller's earliest ack deadline.
+        // `next_timeout()` never decreases while it is `Some`, and every
+        // deadline lies strictly after the instant that armed it (the
+        // properties `Diff::check_deadline_order` in `prop_controller.rs`
+        // checks). So a poll already queued for this instant covers every
+        // deadline due there, and a second one would find nothing to fire.
         if let SystemState::Wgtt { controller, .. } = &mut self.system {
             if let Some(t) = controller.next_timeout() {
-                self.queue.schedule(t.max(now), Ev::CtlPoll);
+                let at = t.max(now);
+                if self.ctl_poll_at != Some(at) {
+                    self.ctl_poll_at = Some(at);
+                    self.queue.schedule(at, Ev::CtlPoll);
+                }
             }
         }
     }
@@ -213,6 +222,9 @@ impl World {
     }
 
     fn on_ctl_poll(&mut self, now: SimTime) {
+        if self.ctl_poll_at == Some(now) {
+            self.ctl_poll_at = None;
+        }
         self.with_controller(now, |c, buf| c.poll(now, buf));
     }
 

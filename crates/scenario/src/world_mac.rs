@@ -11,8 +11,8 @@ impl World {
 
     fn ap_has_work(&self, ai: usize) -> bool {
         match &self.system {
-            SystemState::Wgtt { aps, .. } => !aps[ai].tx_ready_clients().is_empty(),
-            SystemState::Baseline { aps, .. } => !aps[ai].tx_ready_clients().is_empty(),
+            SystemState::Wgtt { aps, .. } => aps[ai].has_tx_ready(),
+            SystemState::Baseline { aps, .. } => aps[ai].has_tx_ready(),
         }
     }
 

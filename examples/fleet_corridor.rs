@@ -19,7 +19,7 @@ use wgtt::WgttConfig;
 use wgtt_apps::mix::AppKind;
 use wgtt_scenario::fleet::FleetConfig;
 use wgtt_scenario::shard::run_sharded;
-use wgtt_scenario::world::SystemKind;
+use wgtt_scenario::world::{SystemKind, EVENT_KINDS};
 use wgtt_sim::time::SimDuration;
 
 struct Args {
@@ -193,15 +193,26 @@ fn main() {
         }
     }
 
+    // Every line carrying an engine event count starts `  <count> events`:
+    // the sharded-determinism check filters on that prefix, since the
+    // sequential and sharded engines legitimately count different events.
+    let vehicle_s = report.vehicles as f64 * report.duration.as_secs_f64();
     println!("\nscale:");
     println!(
-        "  {} events, {} frames in {:.1} s wall -> {:.0} events/s, {:.0} frames/s",
+        "  {} events, {} frames in {:.1} s wall -> {:.0} events/s, {:.0} frames/s, \
+         {:.1} vehicle-s/s",
         report.events_handled,
         report.frames_on_air,
         wall_s,
         report.events_handled as f64 / wall_s,
         report.frames_on_air as f64 / wall_s,
+        vehicle_s / wall_s,
     );
+    for (name, n) in EVENT_KINDS.iter().zip(report.events_by_kind) {
+        if n > 0 {
+            println!("  {n} events {name}");
+        }
+    }
     assert_eq!(report.backhaul_misaddressed, 0, "misaddressed backhaul");
     assert_eq!(report.missing_packet_refs, 0, "dangling packet refs");
 }
