@@ -1,7 +1,8 @@
 //! A conventional 802.11n AP for the baseline schemes.
 //!
-//! Same PHY/MAC machinery as a WGTT AP (A-MPDU aggregation, Block ACK,
-//! Minstrel) but the classic data path: one FIFO mac80211 queue per
+//! Same PHY/MAC machinery as a WGTT AP (the shared
+//! [`AmpduOriginator`]: A-MPDU aggregation, Block ACK, Minstrel) but the
+//! classic data path: one FIFO mac80211 queue per
 //! client, packets arrive from the distribution system only while the
 //! client is associated *here*, and nothing flushes the queue on a
 //! handover — the backlog keeps burning airtime toward a departed client
@@ -9,53 +10,26 @@
 //! queue management removes.
 
 use std::collections::HashMap;
-use wgtt_mac::aggregation::{build_ampdu, AggregationPolicy};
-use wgtt_mac::blockack::BaOriginator;
 use wgtt_mac::frame::{Mpdu, NodeId, PacketRef};
+use wgtt_mac::originator::{AmpduOriginator, BaFeedback, RoundRobin};
 use wgtt_mac::queues::BoundedQueue;
 use wgtt_mac::rate::RateController;
-use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::Packet;
 use wgtt_sim::rng::RngStream;
 
-/// Outcome of a Block ACK/timeout for the scenario's bookkeeping (same
-/// shape as the WGTT AP's feedback).
-#[derive(Debug, Default)]
-pub struct BaFeedback {
-    /// Packets confirmed delivered.
-    pub delivered: Vec<PacketRef>,
-    /// Packets dropped after retry exhaustion.
-    pub dropped: Vec<PacketRef>,
-}
+/// mac80211 hands at most this many MPDUs down to the NIC at a time.
+const STAGE_DEPTH: usize = 64;
 
 #[derive(Debug)]
 struct ClientQueue {
     fifo: BoundedQueue<Packet>,
-    staged: std::collections::VecDeque<Mpdu>,
-    retries: Vec<Mpdu>,
-    ba: BaOriginator,
-    rate: RateController,
-    next_seq: u16,
-    in_flight_meta: Option<(Mcs, usize)>,
+    tx: AmpduOriginator,
 }
 
 impl ClientQueue {
-    fn new(rate: RateController) -> Self {
-        ClientQueue {
-            fifo: BoundedQueue::mac80211(),
-            staged: std::collections::VecDeque::new(),
-            retries: Vec::new(),
-            ba: BaOriginator::default(),
-            rate,
-            next_seq: 0,
-            in_flight_meta: None,
-        }
-    }
-
     fn has_work(&self) -> bool {
-        !self.ba.has_in_flight()
-            && (!self.retries.is_empty() || !self.staged.is_empty() || !self.fifo.is_empty())
+        self.tx.ready(!self.fifo.is_empty())
     }
 }
 
@@ -65,8 +39,7 @@ pub struct BaselineAp {
     pub id: NodeId,
     clients: HashMap<NodeId, ClientQueue>,
     rng: RngStream,
-    agg: AggregationPolicy,
-    rr_cursor: usize,
+    rr: RoundRobin,
     /// Packets dropped at the full mac80211 queue.
     pub queue_drops: u64,
 }
@@ -78,17 +51,17 @@ impl BaselineAp {
             id,
             clients: HashMap::new(),
             rng,
-            agg: AggregationPolicy::default(),
-            rr_cursor: 0,
+            rr: RoundRobin::default(),
             queue_drops: 0,
         }
     }
 
     fn client_mut(&mut self, client: NodeId) -> &mut ClientQueue {
         let rng = self.rng.derive_indexed("rate", client.0 as u64).rng();
-        self.clients
-            .entry(client)
-            .or_insert_with(|| ClientQueue::new(RateController::new(rng)))
+        self.clients.entry(client).or_insert_with(|| ClientQueue {
+            fifo: BoundedQueue::mac80211(),
+            tx: AmpduOriginator::new(RateController::new(rng)),
+        })
     }
 
     /// Enqueue a downlink packet (from the distribution system). Returns
@@ -106,14 +79,14 @@ impl BaselineAp {
     pub fn has_in_flight(&self, client: NodeId) -> bool {
         self.clients
             .get(&client)
-            .is_some_and(|q| q.ba.has_in_flight())
+            .is_some_and(|q| q.tx.has_in_flight())
     }
 
     /// Packets queued toward `client` (the handover backlog).
     pub fn backlog(&self, client: NodeId) -> usize {
         self.clients
             .get(&client)
-            .map_or(0, |c| c.fifo.len() + c.staged.len() + c.retries.len())
+            .map_or(0, |c| c.fifo.len() + c.tx.queued())
     }
 
     /// Clients with transmittable work.
@@ -137,63 +110,31 @@ impl BaselineAp {
     /// Round-robin pick of the next client to serve.
     pub fn next_tx_client(&mut self) -> Option<NodeId> {
         let ready = self.tx_ready_clients();
-        if ready.is_empty() {
-            return None;
-        }
-        let pick = ready[self.rr_cursor % ready.len()];
-        self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        Some(pick)
+        self.rr.pick(&ready)
     }
 
     /// Build the next A-MPDU toward `client`.
     pub fn build_txop(&mut self, client: NodeId) -> Option<(Vec<Mpdu>, Mcs)> {
-        let agg = self.agg;
         let q = self.client_mut(client);
-        if q.ba.has_in_flight() {
+        if q.tx.has_in_flight() {
             return None;
         }
         // Stage fresh packets with newly assigned sequence numbers.
-        while q.staged.len() < 64 {
+        while q.tx.staged_len() < STAGE_DEPTH {
             let Some(packet) = q.fifo.pop() else { break };
-            let seq = q.next_seq;
-            q.next_seq = seq_next(q.next_seq);
-            q.staged.push_back(Mpdu {
-                seq,
-                packet: PacketRef {
-                    id: packet.id,
-                    len: packet.len,
-                },
-                retries: 0,
+            q.tx.stage_next(PacketRef {
+                id: packet.id,
+                len: packet.len,
             });
         }
-        let mcs = q.rate.select();
-        let mpdus = build_ampdu(&mut q.retries, &mut q.staged, &agg, mcs);
-        if mpdus.is_empty() {
-            return None;
-        }
-        q.in_flight_meta = Some((mcs, mpdus.len()));
-        q.ba.on_ampdu_sent(mpdus.clone());
-        Some((mpdus, mcs))
+        q.tx.build()
     }
 
     /// A Block ACK from `client` arrived.
     pub fn on_block_ack(&mut self, client: NodeId, start_seq: u16, bitmap: u64) -> BaFeedback {
-        let q = self.client_mut(client);
-        if q.ba.has_in_flight() && !q.ba.covers_in_flight(start_seq) {
-            return BaFeedback::default(); // stale window
-        }
-        let r = q.ba.on_block_ack(start_seq, bitmap);
-        if r.duplicate {
-            return BaFeedback::default(); // no-op: window still stands
-        }
-        if let Some((mcs, attempted)) = q.in_flight_meta.take() {
-            q.rate.on_feedback(mcs, attempted, r.acked.len());
-        }
-        q.retries.extend(r.to_retry.iter().copied());
-        BaFeedback {
-            delivered: r.acked,
-            dropped: r.dropped,
-        }
+        self.client_mut(client)
+            .tx
+            .on_block_ack(start_seq, bitmap, true)
     }
 
     /// The distribution system moved `client` to another AP: drop every
@@ -202,34 +143,20 @@ impl BaselineAp {
     pub fn flush_client(&mut self, client: NodeId) {
         if let Some(q) = self.clients.get_mut(&client) {
             while q.fifo.pop().is_some() {}
-            q.staged.clear();
-            q.retries.clear();
-            q.ba.clear();
-            q.in_flight_meta = None;
+            q.tx.flush();
         }
     }
 
     /// The Block ACK never arrived.
     pub fn on_ba_timeout(&mut self, client: NodeId) -> BaFeedback {
-        let q = self.client_mut(client);
-        if !q.ba.has_in_flight() {
-            return BaFeedback::default();
-        }
-        let r = q.ba.on_ba_timeout();
-        if let Some((mcs, attempted)) = q.in_flight_meta.take() {
-            q.rate.on_feedback(mcs, attempted, 0);
-        }
-        q.retries.extend(r.to_retry.iter().copied());
-        BaFeedback {
-            delivered: Vec::new(),
-            dropped: r.dropped,
-        }
+        self.client_mut(client).tx.on_ba_timeout(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wgtt_mac::aggregation::AggregationPolicy;
     use wgtt_net::packet::{FlowId, PacketFactory};
     use wgtt_net::wire::Ipv4Addr;
     use wgtt_sim::time::SimTime;

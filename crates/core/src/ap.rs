@@ -1,12 +1,13 @@
 //! The WGTT AP data plane (paper Fig. 5 right, Fig. 7).
 //!
-//! Each AP holds, per client: the replicated [`CyclicQueue`], a small NIC
-//! staging queue (the hardware backlog the paper lets the old AP drain
-//! for ≈6 ms during a switch), the retry list, a Block ACK originator
-//! scoreboard, and a Minstrel rate controller. The MAC sequence number of
-//! every MPDU *is* the packet's 12-bit cyclic index — both spaces are
-//! m = 12 bits in the paper, and sharing them is what lets a client's
-//! Block ACK window survive an AP switch seamlessly.
+//! Each AP holds, per client: the replicated [`CyclicQueue`] and an
+//! [`AmpduOriginator`] whose staged MPDUs are the small NIC hardware
+//! queue (the backlog the paper lets the old AP drain for ≈6 ms during a
+//! switch), alongside its retry list, Block ACK scoreboard and Minstrel
+//! rate controller. The MAC sequence number of every MPDU *is* the
+//! packet's 12-bit cyclic index — both spaces are m = 12 bits in the
+//! paper, and sharing them is what lets a client's Block ACK window
+//! survive an AP switch seamlessly.
 //!
 //! Control messages (`stop`/`start`) are processed out-of-band from data
 //! (the paper prioritizes them past the cyclic queue); the scenario
@@ -17,10 +18,9 @@ use crate::bafwd::MonitorPolicy;
 use crate::config::WgttConfig;
 use crate::cyclic::CyclicQueue;
 use crate::messages::{BackhaulDest, BackhaulMsg};
-use std::collections::{HashMap, VecDeque};
-use wgtt_mac::aggregation::{build_ampdu, AggregationPolicy};
-use wgtt_mac::blockack::BaOriginator;
+use std::collections::HashMap;
 use wgtt_mac::frame::{Mpdu, NodeId, PacketRef};
+use wgtt_mac::originator::{AmpduOriginator, BaFeedback, RoundRobin};
 use wgtt_mac::rate::RateController;
 use wgtt_mac::Mcs;
 use wgtt_sim::rng::RngStream;
@@ -33,18 +33,6 @@ pub struct ApAction {
     pub to: BackhaulDest,
     /// The message.
     pub msg: BackhaulMsg,
-}
-
-/// What one Block ACK (or its timeout) meant for an AP's transmission
-/// state — consumed by the scenario for delivery bookkeeping.
-#[derive(Debug, Default)]
-pub struct BaFeedback {
-    /// Packets confirmed delivered.
-    pub delivered: Vec<PacketRef>,
-    /// Packets dropped after exhausting retries.
-    pub dropped: Vec<PacketRef>,
-    /// Whether this Block ACK was a duplicate (already processed).
-    pub duplicate: bool,
 }
 
 /// Per-AP statistics.
@@ -69,39 +57,18 @@ pub struct ApStats {
 #[derive(Debug)]
 struct ApClientState {
     cyclic: CyclicQueue,
-    /// NIC hardware staging: MPDUs already handed to the "hardware",
-    /// below the driver's cyclic queue.
-    nic: VecDeque<Mpdu>,
-    retries: Vec<Mpdu>,
-    ba: BaOriginator,
-    rate: RateController,
+    /// Staged MPDUs are the NIC hardware queue: already handed to the
+    /// "hardware", below the driver's cyclic queue.
+    tx: AmpduOriginator,
     serving: bool,
-    /// MCS and size of the in-flight A-MPDU (for rate feedback).
-    in_flight_meta: Option<(Mcs, usize)>,
 }
 
 impl ApClientState {
-    fn new(rate: RateController) -> Self {
-        ApClientState {
-            cyclic: CyclicQueue::new(),
-            nic: VecDeque::new(),
-            retries: Vec::new(),
-            ba: BaOriginator::default(),
-            rate,
-            serving: false,
-            in_flight_meta: None,
-        }
-    }
-
     /// Transmittable downlink work: any queued data when serving, only
     /// NIC staging or retries left to drain otherwise, and never while
     /// an A-MPDU is in flight.
     fn tx_ready(&self) -> bool {
-        if self.ba.has_in_flight() {
-            return false;
-        }
-        let drainable = !self.nic.is_empty() || !self.retries.is_empty();
-        drainable || (self.serving && !self.cyclic.is_empty())
+        self.tx.ready(self.serving && !self.cyclic.is_empty())
     }
 }
 
@@ -115,9 +82,8 @@ pub struct ApAgent {
     serving_map: HashMap<NodeId, NodeId>,
     clients: HashMap<NodeId, ApClientState>,
     rng: RngStream,
-    agg_policy: AggregationPolicy,
-    /// Round-robin cursor over clients with pending work.
-    rr_cursor: usize,
+    /// Round-robin over clients with pending work.
+    rr: RoundRobin,
     /// Run statistics.
     pub stats: ApStats,
 }
@@ -133,17 +99,18 @@ impl ApAgent {
             serving_map: HashMap::new(),
             clients: HashMap::new(),
             rng,
-            agg_policy: AggregationPolicy::default(),
-            rr_cursor: 0,
+            rr: RoundRobin::default(),
             stats: ApStats::default(),
         }
     }
 
     fn client_mut(&mut self, client: NodeId) -> &mut ApClientState {
         let rng = self.rng.derive_indexed("rate-ctl", client.0 as u64).rng();
-        self.clients
-            .entry(client)
-            .or_insert_with(|| ApClientState::new(RateController::new(rng)))
+        self.clients.entry(client).or_insert_with(|| ApClientState {
+            cyclic: CyclicQueue::new(),
+            tx: AmpduOriginator::new(RateController::new(rng)),
+            serving: false,
+        })
     }
 
     /// Whether this AP currently serves `client`.
@@ -155,7 +122,7 @@ impl ApAgent {
     pub fn has_in_flight(&self, client: NodeId) -> bool {
         self.clients
             .get(&client)
-            .is_some_and(|c| c.ba.has_in_flight())
+            .is_some_and(|c| c.tx.has_in_flight())
     }
 
     /// The first unsent cyclic index for `client` — the `k` handed over
@@ -173,7 +140,7 @@ impl ApAgent {
 
     /// MPDUs staged in the NIC hardware queue.
     pub fn nic_depth(&self, client: NodeId) -> usize {
-        self.clients.get(&client).map_or(0, |c| c.nic.len())
+        self.clients.get(&client).map_or(0, |c| c.tx.staged_len())
     }
 
     /// Process a backhaul message addressed to this AP.
@@ -219,9 +186,7 @@ impl ApAgent {
                 st.serving = true;
                 // A fresh serving stint: the old AP owns its in-flight
                 // window; ours starts clean.
-                st.retries.clear();
-                st.ba.clear();
-                st.in_flight_meta = None;
+                st.tx.reset();
                 self.serving_map.insert(client, self.id);
                 vec![ApAction {
                     to: BackhaulDest::Controller,
@@ -289,100 +254,43 @@ impl ApAgent {
     /// clients, so multi-client airtime shares fairly).
     pub fn next_tx_client(&mut self) -> Option<NodeId> {
         let ready = self.tx_ready_clients();
-        if ready.is_empty() {
-            return None;
-        }
-        let pick = ready[self.rr_cursor % ready.len()];
-        self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        Some(pick)
+        self.rr.pick(&ready)
     }
 
     /// Build the next A-MPDU for `client`: refill the NIC staging from
     /// the cyclic queue (serving only), then aggregate retries + staged
     /// MPDUs, select a rate, and mark the window in flight.
-    pub fn build_txop(&mut self, client: NodeId, _now: SimTime) -> Option<(Vec<Mpdu>, Mcs)> {
+    pub fn build_txop(&mut self, client: NodeId) -> Option<(Vec<Mpdu>, Mcs)> {
         let nic_cap = self.cfg.nic_queue_mpdus;
-        let policy = self.agg_policy;
         let st = self.client_mut(client);
-        if st.ba.has_in_flight() {
+        if st.tx.has_in_flight() {
             return None;
         }
         if st.serving {
-            while st.nic.len() < nic_cap {
+            while st.tx.staged_len() < nic_cap {
                 let Some((idx, packet)) = st.cyclic.pop() else {
                     break;
                 };
-                st.nic.push_back(Mpdu {
-                    seq: idx,
-                    packet: PacketRef {
-                        id: packet.id,
-                        len: packet.len,
-                    },
-                    retries: 0,
-                });
+                let packet = PacketRef {
+                    id: packet.id,
+                    len: packet.len,
+                };
+                st.tx.stage(idx, packet);
             }
         }
-        let mcs = st.rate.select();
-        let mpdus = build_ampdu(&mut st.retries, &mut st.nic, &policy, mcs);
-        if mpdus.is_empty() {
-            return None;
-        }
-        st.in_flight_meta = Some((mcs, mpdus.len()));
-        st.ba.on_ampdu_sent(mpdus.clone());
+        let (mpdus, mcs) = st.tx.build()?;
         self.stats.ampdus_sent += 1;
         self.stats.mpdus_sent += mpdus.len() as u64;
         Some((mpdus, mcs))
     }
 
+    /// Apply a Block ACK for `client`. Failed MPDUs retry while we serve;
+    /// in the post-stop drain (§3.1.2) the NIC backlog is sent once over
+    /// the dying link and the new AP owns every packet from index k, so
+    /// failed drain MPDUs are dropped, not retried.
     fn apply_block_ack(&mut self, client: NodeId, start_seq: u16, bitmap: u64) -> BaFeedback {
         let st = self.client_mut(client);
-        if !st.ba.has_in_flight() {
-            // Nothing outstanding: either a duplicate of an already-applied
-            // Block ACK or a stray.
-            let r = st.ba.on_block_ack(start_seq, bitmap);
-            return BaFeedback {
-                delivered: Vec::new(),
-                dropped: Vec::new(),
-                duplicate: r.duplicate,
-            };
-        }
-        if !st.ba.covers_in_flight(start_seq) {
-            // A stale (usually forwarded) Block ACK from an earlier
-            // window: ignore it, the current A-MPDU is still on the air.
-            return BaFeedback {
-                delivered: Vec::new(),
-                dropped: Vec::new(),
-                duplicate: true,
-            };
-        }
-        let result = st.ba.on_block_ack(start_seq, bitmap);
-        if result.duplicate {
-            // Identical to the last applied Block ACK (e.g. the AP's
-            // recipient window didn't move): a no-op — the in-flight
-            // window, meta, and timeout all stand.
-            return BaFeedback {
-                delivered: Vec::new(),
-                dropped: Vec::new(),
-                duplicate: true,
-            };
-        }
-        if let Some((mcs, attempted)) = st.in_flight_meta.take() {
-            st.rate.on_feedback(mcs, attempted, result.acked.len());
-        }
-        let mut dropped = result.dropped;
-        if st.serving {
-            st.retries.extend(result.to_retry.iter().copied());
-        } else {
-            // Post-stop drain (§3.1.2): the NIC backlog is sent once over
-            // the dying link; the new AP owns every packet from index k,
-            // so failed drain MPDUs are dropped, not retried.
-            dropped.extend(result.to_retry.iter().map(|m| m.packet));
-        }
-        BaFeedback {
-            delivered: result.acked,
-            dropped,
-            duplicate: result.duplicate,
-        }
+        st.tx.on_block_ack(start_seq, bitmap, st.serving)
     }
 
     /// A Block ACK arrived on our own radio.
@@ -393,29 +301,15 @@ impl ApAgent {
 
     /// No Block ACK arrived for the in-flight A-MPDU (and no neighbour
     /// forwarded one in time): the whole window retransmits — §3.2.1's
-    /// failure mode.
+    /// failure mode. Drain mode drops instead (see `apply_block_ack`).
     pub fn on_ba_timeout(&mut self, client: NodeId) -> BaFeedback {
-        if !self.client_mut(client).ba.has_in_flight() {
+        let st = self.client_mut(client);
+        if !st.tx.has_in_flight() {
             return BaFeedback::default();
         }
+        let fb = st.tx.on_ba_timeout(st.serving);
         self.stats.ba_timeouts += 1;
-        let st = self.client_mut(client);
-        let result = st.ba.on_ba_timeout();
-        if let Some((mcs, attempted)) = st.in_flight_meta.take() {
-            st.rate.on_feedback(mcs, attempted, 0);
-        }
-        let mut dropped = result.dropped;
-        if st.serving {
-            st.retries.extend(result.to_retry.iter().copied());
-        } else {
-            // Drain mode: one shot per packet (see apply_block_ack).
-            dropped.extend(result.to_retry.iter().map(|m| m.packet));
-        }
-        BaFeedback {
-            delivered: Vec::new(),
-            dropped,
-            duplicate: false,
-        }
+        fb
     }
 
     /// An uplink *data* packet decoded on our radio: tunnel it to the
@@ -559,7 +453,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 100);
         make_serving(&mut ap, 0);
-        let (mpdus, mcs) = ap.build_txop(CLIENT, ms(1)).expect("work queued");
+        let (mpdus, mcs) = ap.build_txop(CLIENT).expect("work queued");
         // Aggregation bounded by count, byte, and 4 ms airtime caps.
         let cap =
             wgtt_mac::aggregation::AggregationPolicy::default().byte_cap_at(mcs) as usize / 1500;
@@ -569,7 +463,7 @@ mod tests {
             assert_eq!(m.seq as usize, i, "seq == cyclic index");
         }
         // Stop-and-wait: no second A-MPDU until the first resolves.
-        assert!(ap.build_txop(CLIENT, ms(1)).is_none());
+        assert!(ap.build_txop(CLIENT).is_none());
     }
 
     #[test]
@@ -578,7 +472,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 64);
         make_serving(&mut ap, 0);
-        let (mpdus, _) = ap.build_txop(CLIENT, ms(1)).unwrap();
+        let (mpdus, _) = ap.build_txop(CLIENT).unwrap();
         assert!(mpdus.len() > 8);
         // Client acks all but seqs 3 and 7.
         let mut bitmap: u64 = (1 << mpdus.len()) - 1;
@@ -587,7 +481,7 @@ mod tests {
         let fb = ap.on_block_ack(CLIENT, 0, bitmap);
         assert_eq!(fb.delivered.len(), mpdus.len() - 2);
         // Next TXOP leads with the two retries.
-        let (next, _) = ap.build_txop(CLIENT, ms(2)).unwrap();
+        let (next, _) = ap.build_txop(CLIENT).unwrap();
         assert_eq!(next[0].seq, 3);
         assert_eq!(next[1].seq, 7);
         assert_eq!(next[0].retries, 1);
@@ -599,7 +493,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 8);
         make_serving(&mut ap, 0);
-        let (mpdus, _) = ap.build_txop(CLIENT, ms(1)).unwrap();
+        let (mpdus, _) = ap.build_txop(CLIENT).unwrap();
         let fb = ap.on_ba_timeout(CLIENT);
         assert!(fb.delivered.is_empty());
         assert_eq!(ap.stats.ba_timeouts, 1);
@@ -609,16 +503,12 @@ mod tests {
         // original window must come back exactly once, in order, as a
         // first retry.
         let mut seen: Vec<u16> = Vec::new();
-        let mut t = 2;
         while seen.len() < mpdus.len() {
-            let (again, _) = ap
-                .build_txop(CLIENT, ms(t))
-                .expect("window not drained yet");
+            let (again, _) = ap.build_txop(CLIENT).expect("window not drained yet");
             assert!(again.iter().all(|m| m.retries == 1));
             let start = again[0].seq;
             seen.extend(again.iter().map(|m| m.seq));
             ap.on_block_ack(CLIENT, start, (1 << again.len()) - 1);
-            t += 1;
         }
         let expect: Vec<u16> = mpdus.iter().map(|m| m.seq).collect();
         assert_eq!(seen, expect);
@@ -631,7 +521,7 @@ mod tests {
         feed_downlink(&mut ap1, &mut f, 200);
         make_serving(&mut ap1, 0);
         // One TXOP pulls 64 into NIC staging, sends the first aggregate.
-        ap1.build_txop(CLIENT, ms(1)).unwrap();
+        ap1.build_txop(CLIENT).unwrap();
         let k_expected = ap1.first_unsent(CLIENT);
         assert_eq!(k_expected, 64, "NIC staged 64, so driver head is 64");
         let actions = ap1.on_backhaul(
@@ -665,7 +555,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 200);
         make_serving(&mut ap, 0);
-        let (first, _) = ap.build_txop(CLIENT, ms(1)).unwrap(); // 64 staged
+        let (first, _) = ap.build_txop(CLIENT).unwrap(); // 64 staged
         ap.on_ba_timeout(CLIENT); // first aggregate becomes retries
         ap.on_backhaul(
             BackhaulMsg::Stop {
@@ -682,7 +572,7 @@ mod tests {
         let backlog_before = ap.backlog(CLIENT);
         let mut drained = 0;
         let mut guard = 0;
-        while let Some((d, _)) = { ap.build_txop(CLIENT, ms(3 + guard)) } {
+        while let Some((d, _)) = ap.build_txop(CLIENT) {
             guard += 1;
             assert!(guard < 20, "drain must terminate");
             let start = d[0].seq;
@@ -718,7 +608,7 @@ mod tests {
             BackhaulMsg::SwitchAck { ap, switch_id: 42, .. } if ap == AP2
         ));
         // First TXOP resumes exactly at k.
-        let (mpdus, _) = ap2.build_txop(CLIENT, ms(4)).unwrap();
+        let (mpdus, _) = ap2.build_txop(CLIENT).unwrap();
         assert_eq!(mpdus[0].seq, 64);
     }
 
@@ -735,7 +625,7 @@ mod tests {
             },
             ms(0),
         );
-        ap2.build_txop(CLIENT, ms(1)).unwrap();
+        ap2.build_txop(CLIENT).unwrap();
         let head = ap2.first_unsent(CLIENT);
         // Retransmitted stop caused a duplicate start with the same k.
         let acks = ap2.on_backhaul(
@@ -781,7 +671,7 @@ mod tests {
         let mut f = PacketFactory::new();
         feed_downlink(&mut ap, &mut f, 8);
         make_serving(&mut ap, 0);
-        let (mpdus, _) = ap.build_txop(CLIENT, ms(1)).unwrap();
+        let (mpdus, _) = ap.build_txop(CLIENT).unwrap();
         let bitmap = (1u64 << mpdus.len()) - 1;
         // The BA comes in over the backhaul, not the radio.
         ap.on_backhaul(
@@ -796,7 +686,7 @@ mod tests {
         // Window cleared: timeout has nothing to retransmit.
         let fb = ap.on_ba_timeout(CLIENT);
         assert!(fb.delivered.is_empty());
-        assert!(ap.build_txop(CLIENT, ms(3)).is_none(), "queue empty");
+        assert!(ap.build_txop(CLIENT).is_none(), "queue empty");
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
     let (mut serving, mut neighbour_a, mut neighbour_b) = deployment();
 
     // The serving AP puts an A-MPDU on the air.
-    let (mpdus, _mcs) = serving.build_txop(CLIENT, ms(1)).expect("backlog queued");
+    let (mpdus, _mcs) = serving.build_txop(CLIENT).expect("backlog queued");
     assert!(serving.has_in_flight(CLIENT));
 
     // The client receives every MPDU and answers with a Block ACK —
@@ -132,7 +132,7 @@ fn overheard_ba_suppresses_retransmission_and_duplicate_forward_is_dropped() {
 
     // Every acked packet moved on: the next TXOP carries fresh data with
     // zero retries, not the already-delivered window.
-    let (next, _) = serving.build_txop(CLIENT, ms(3)).expect("more backlog");
+    let (next, _) = serving.build_txop(CLIENT).expect("more backlog");
     assert!(next.iter().all(|m| m.retries == 0));
     assert_eq!(
         next[0].seq,
@@ -152,7 +152,7 @@ fn serving_ap_monitor_is_disabled_end_to_end() {
 #[test]
 fn partial_overheard_ba_retries_only_the_holes() {
     let (mut serving, mut neighbour_a, _) = deployment();
-    let (mpdus, _) = serving.build_txop(CLIENT, ms(1)).expect("backlog queued");
+    let (mpdus, _) = serving.build_txop(CLIENT).expect("backlog queued");
 
     // The client missed MPDUs 2 and 5; the BA says so, and only the
     // serving AP's radio missed the BA itself.
@@ -169,7 +169,7 @@ fn partial_overheard_ba_retries_only_the_holes() {
     // The merge behaves exactly like a native BA: holes retry, the rest
     // are delivered, and the retries lead the next TXOP.
     assert_eq!(serving.stats.forwarded_ba_used, 1);
-    let (next, _) = serving.build_txop(CLIENT, ms(3)).expect("retries pending");
+    let (next, _) = serving.build_txop(CLIENT).expect("retries pending");
     assert_eq!(next[0].seq, 2);
     assert_eq!(next[1].seq, 5);
     assert_eq!(next[0].retries, 1);

@@ -13,6 +13,9 @@
 //! * [`aggregation`] — A-MPDU assembly under count/byte limits;
 //! * [`blockack`] — originator & recipient Block ACK scoreboards over the
 //!   12-bit, mod-4096 sequence space;
+//! * [`originator`] — the per-peer A-MPDU send loop every transmitter
+//!   runs (stage, aggregate, settle on Block ACK or timeout, feed the
+//!   rate controller), plus the round-robin pick over ready peers;
 //! * [`rate`] — Minstrel-style rate adaptation (the paper keeps each AP's
 //!   default rate control; so do we);
 //! * [`medium`] — a slotted CSMA/CA single-channel medium with collision
@@ -31,6 +34,7 @@ pub mod blockack;
 pub mod frame;
 pub mod mcs;
 pub mod medium;
+pub mod originator;
 pub mod queues;
 pub mod rate;
 pub mod seq;

@@ -392,7 +392,7 @@ pub mod reference {
 /// faithful vector `exp` inside the lane erfc).
 pub mod scalar {
     use super::Modulation;
-    use crate::csi::{Csi, NUM_SUBCARRIERS};
+    use crate::csi::Csi;
     use crate::{db_to_linear, linear_to_db};
 
     /// ESNR in dB from a CSI snapshot — the pre-vectorization shipping
@@ -404,22 +404,6 @@ pub mod scalar {
             ber_acc += modulation.ber(mean_snr * h.norm_sq());
         }
         let mean_ber = ber_acc / csi.h.len() as f64;
-        linear_to_db(modulation.snr_for_ber(mean_ber))
-    }
-
-    /// The same sweep from a fused per-subcarrier power array (the order
-    /// [`Csi::powers`] yields) — the oracle of the batch path.
-    pub fn effective_snr_from_powers(
-        powers: &[f64; NUM_SUBCARRIERS],
-        mean_snr_db: f64,
-        modulation: Modulation,
-    ) -> f64 {
-        let mean_snr = db_to_linear(mean_snr_db);
-        let mut ber_acc = 0.0;
-        for &p in powers {
-            ber_acc += modulation.ber(mean_snr * p);
-        }
-        let mean_ber = ber_acc / powers.len() as f64;
         linear_to_db(modulation.snr_for_ber(mean_ber))
     }
 }

@@ -227,9 +227,6 @@ pub fn replay_page_load(
     None
 }
 
-#[allow(unused)]
-fn _dur(_: SimDuration) {}
-
 #[cfg(test)]
 mod tests {
     use super::replay_page_load;

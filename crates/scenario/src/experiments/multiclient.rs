@@ -5,7 +5,6 @@ use crate::results::{f, ExperimentOutput};
 use crate::testbed::{ClientPlan, TestbedConfig};
 use crate::world::{FlowSpec, SystemKind, World};
 use wgtt::WgttConfig;
-use wgtt_mac::frame::NodeId;
 use wgtt_net::packet::FlowId;
 use wgtt_sim::time::{SimDuration, SimTime};
 
@@ -179,8 +178,3 @@ pub fn fig20(seed: u64) -> ExperimentOutput {
     );
     out
 }
-
-// NodeId used in sibling modules through this re-export pattern; silence
-// the lint locally if unused here in future edits.
-#[allow(unused)]
-fn _unused(_: NodeId) {}

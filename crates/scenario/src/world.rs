@@ -27,11 +27,11 @@ use wgtt_baseline::ap::BaselineAp;
 use wgtt_baseline::distribution::DistributionSystem;
 use wgtt_baseline::roamer::{Roamer, RoamerAction, RoamerMode};
 use wgtt_mac::airtime::{frame_airtime, SIFS_US};
-use wgtt_mac::blockack::{BaOriginator, BaRecipient};
+use wgtt_mac::blockack::BaRecipient;
 use wgtt_mac::frame::{Frame, FrameKind, MgmtStep, Mpdu, NodeId, PacketRef};
 use wgtt_mac::medium::{Medium, TxId, TxOutcome};
+use wgtt_mac::originator::AmpduOriginator;
 use wgtt_mac::rate::RateController;
-use wgtt_mac::seq::seq_next;
 use wgtt_mac::Mcs;
 use wgtt_net::packet::{FlowId, Packet, PacketFactory, Transport};
 use wgtt_net::tcp::{TcpConfig, TcpReceiver, TcpSender};
@@ -152,12 +152,8 @@ struct ClientNode {
     /// design); baseline APs are distinct transmitters with independent
     /// Block ACK sessions.
     ba_rx: HashMap<NodeId, BaRecipient>,
-    /// Uplink originator state.
-    up_fresh: std::collections::VecDeque<Mpdu>,
-    up_retries: Vec<Mpdu>,
-    up_ba: BaOriginator,
-    up_next_seq: u16,
-    up_rate: RateController,
+    /// Uplink A-MPDU originator toward whichever AP serves.
+    up: AmpduOriginator,
     /// This client's PHY/MAC random stream: backoff slots, per-MPDU
     /// error rolls on frames addressed to or sent by it, CSI noise on
     /// its readings, and control loss/jitter on its switch messages.
@@ -165,7 +161,6 @@ struct ClientNode {
     /// same sequence whether it lives in a monolithic world or in a
     /// spatial shard.
     rng: Xoshiro256,
-    up_in_flight_meta: Option<(Mcs, usize)>,
     /// Baseline roamer (None under WGTT).
     roamer: Option<Roamer>,
     /// MAC pipeline gates.
@@ -228,9 +223,6 @@ pub struct RunReport {
     pub tcp_completion: HashMap<FlowId, SimTime>,
     /// Baseline: reassociation failures.
     pub failed_handshakes: u64,
-    /// Debug: client BA responses scheduled / transmitted / decoded at
-    /// their target AP.
-    pub dbg_ba: (u64, u64, u64),
     /// Discrete events handled by [`World::run`] — the macro-bench's
     /// events/s numerator.
     pub events_handled: u64,
@@ -437,8 +429,6 @@ pub struct World {
     /// shows the fixed overhead outweighs the protection when collisions
     /// are rare.
     pub rts_cts: bool,
-    /// Emit a per-event MAC trace to stderr (debugging only).
-    pub trace: bool,
     /// When enabled, a tcpdump-style line is recorded for every frame
     /// that finishes on the air (see [`World::enable_frame_log`]).
     frame_log: Option<Vec<String>>,
@@ -447,8 +437,6 @@ pub struct World {
     backhaul_capture: Option<crate::pcap::PcapWriter>,
     /// IP ident counter for the capture's outer headers.
     capture_ident: u16,
-    /// Trace only at or after this instant.
-    pub trace_from: SimTime,
     /// Skip the per-(client, AP) ESNR-trace/accuracy sampling loop in
     /// `on_sample`. Fleet runs set this: with hundreds of vehicles and
     /// dozens of APs that loop is O(clients × APs) every 10 ms and the
@@ -638,15 +626,10 @@ impl World {
                     // to the monolithic world's.
                     ip: Ipv4Addr::new(172, 16, ((100 + gci) >> 8) as u8, (100 + gci) as u8),
                     ba_rx: HashMap::new(),
-                    up_fresh: std::collections::VecDeque::new(),
-                    up_retries: Vec::new(),
-                    up_ba: BaOriginator::default(),
-                    up_next_seq: 0,
-                    up_rate: RateController::new(
+                    up: AmpduOriginator::new(RateController::new(
                         root.derive_indexed("client-rate", gci as u64).rng(),
-                    ),
+                    )),
                     rng: root.derive_indexed("client-phy", gci as u64).rng(),
-                    up_in_flight_meta: None,
                     roamer,
                     tx_scheduled: false,
                     exchange_pending: false,
@@ -683,11 +666,9 @@ impl World {
             report: RunReport::default(),
             traffic_start: SimTime::ZERO,
             rts_cts: false,
-            trace: false,
             frame_log: None,
             backhaul_capture: None,
             capture_ident: 0,
-            trace_from: SimTime::ZERO,
             sample_lean: false,
             batch_esnr: true,
             esnr_scratch: Vec::new(),
@@ -1145,10 +1126,6 @@ impl World {
                 )
             }
         }
-    }
-
-    fn trace_at(&self, now: SimTime) -> bool {
-        self.trace && now >= self.trace_from
     }
 
     /// Record a tcpdump-style line for every frame that completes on the

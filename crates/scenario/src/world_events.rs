@@ -176,28 +176,12 @@ impl World {
                     | BackhaulMsg::BlockAckForward { client, .. } => Some(*client),
                     _ => None,
                 };
-                let is_fwd = matches!(&msg, BackhaulMsg::BlockAckForward { .. });
-                let is_dl = matches!(&msg, BackhaulMsg::DownlinkData { .. });
                 let actions = {
                     let SystemState::Wgtt { aps, .. } = &mut self.system else {
                         unreachable!()
                     };
                     aps[ai].on_backhaul(msg, now)
                 };
-                if self.trace_at(now) {
-                    if let Some(client) = kick_client {
-                        let inf = {
-                            let SystemState::Wgtt { aps, .. } = &self.system else {
-                                unreachable!()
-                            };
-                            aps[ai].has_in_flight(client)
-                        };
-                        eprintln!(
-                            "{now} backhaul->ap{} fwd={is_fwd} dl={is_dl} pend={} peer={:?} inflight={inf}",
-                            ai, self.ap_exchange_pending[ai], self.ap_current_peer[ai]
-                        );
-                    }
-                }
                 // A forwarded Block ACK may have resolved the pending
                 // exchange.
                 if let Some(client) = kick_client {
@@ -252,16 +236,9 @@ impl World {
     fn enqueue_uplink(&mut self, client: NodeId, packet: Packet, now: SimTime) {
         self.store_packet(packet);
         let ci = self.client_index(client);
-        let c = &mut self.clients[ci];
-        let seq = c.up_next_seq;
-        c.up_next_seq = seq_next(seq);
-        c.up_fresh.push_back(Mpdu {
-            seq,
-            packet: PacketRef {
-                id: packet.id,
-                len: packet.len,
-            },
-            retries: 0,
+        self.clients[ci].up.stage_next(PacketRef {
+            id: packet.id,
+            len: packet.len,
         });
         self.kick_client(client, now);
     }

@@ -18,14 +18,6 @@ impl World {
 
     fn kick_ap(&mut self, ap: NodeId, now: SimTime) {
         let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!(
-                "{now} kick_ap {ap} sched={} pend={} work={}",
-                self.ap_tx_scheduled[ai],
-                self.ap_exchange_pending[ai],
-                self.ap_has_work(ai)
-            );
-        }
         if self.ap_tx_scheduled[ai] || self.ap_exchange_pending[ai] || !self.ap_has_work(ai) {
             return;
         }
@@ -51,14 +43,11 @@ impl World {
         let built = match &mut self.system {
             SystemState::Wgtt { aps, .. } => aps[ai]
                 .next_tx_client()
-                .and_then(|c| aps[ai].build_txop(c, now).map(|(m, r)| (c, m, r))),
+                .and_then(|c| aps[ai].build_txop(c).map(|(m, r)| (c, m, r))),
             SystemState::Baseline { aps, .. } => aps[ai]
                 .next_tx_client()
                 .and_then(|c| aps[ai].build_txop(c).map(|(m, r)| (c, m, r))),
         };
-        if self.trace_at(now) {
-            eprintln!("{now} ap_tx_start {ap} built={}", built.is_some());
-        }
         let Some((client, mpdus, mcs)) = built else {
             return;
         };
@@ -69,9 +58,6 @@ impl World {
             mcs,
         };
         let dur = frame_airtime(&frame);
-        if self.trace_at(now) {
-            eprintln!("{now} ap_begin_tx {ap} dur={dur}");
-        }
         let tx = self.medium.begin_tx(ap, now, dur);
         self.ap_exchange_pending[ai] = true;
         self.ap_current_peer[ai] = Some(client);
@@ -80,9 +66,6 @@ impl World {
 
     fn resolve_ap_exchange(&mut self, ap: NodeId, now: SimTime) {
         let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!("{now} resolve_ap_exchange {ap}");
-        }
         if let Some(ev) = self.ap_ba_timeout_ev[ai].take() {
             self.queue.cancel(ev);
         }
@@ -94,9 +77,6 @@ impl World {
 
     fn on_ap_ba_timeout(&mut self, ap: NodeId, client: NodeId, now: SimTime) {
         let ai = self.ap_index(ap);
-        if self.trace_at(now) {
-            eprintln!("{now} ap_ba_timeout {ap}");
-        }
         self.ap_ba_timeout_ev[ai] = None;
         match &mut self.system {
             SystemState::Wgtt { aps, .. } => {
@@ -117,11 +97,7 @@ impl World {
     fn kick_client(&mut self, client: NodeId, now: SimTime) {
         let ci = self.client_index(client);
         let c = &self.clients[ci];
-        if c.tx_scheduled
-            || c.exchange_pending
-            || c.up_ba.has_in_flight()
-            || (c.up_fresh.is_empty() && c.up_retries.is_empty())
-        {
+        if c.tx_scheduled || c.exchange_pending || !c.up.ready(false) {
             return;
         }
         let stage = c.backoff_stage;
@@ -148,19 +124,9 @@ impl World {
             .serving_of(client)
             .unwrap_or(NodeId(self.cfg.ap_id_offset));
         let c = &mut self.clients[ci];
-        let policy = wgtt_mac::aggregation::AggregationPolicy::default();
-        let mcs = c.up_rate.select();
-        let mpdus = wgtt_mac::aggregation::build_ampdu(
-            &mut c.up_retries,
-            &mut c.up_fresh,
-            &policy,
-            mcs,
-        );
-        if mpdus.is_empty() {
+        let Some((mpdus, mcs)) = c.up.build() else {
             return;
-        }
-        c.up_in_flight_meta = Some((mcs, mpdus.len()));
-        c.up_ba.on_ampdu_sent(mpdus.clone());
+        };
         c.exchange_pending = true;
         let frame = Frame {
             from: client,
@@ -187,13 +153,7 @@ impl World {
         let ci = self.client_index(client);
         self.clients[ci].ba_timeout_ev = None;
         let c = &mut self.clients[ci];
-        if c.up_ba.has_in_flight() {
-            let r = c.up_ba.on_ba_timeout();
-            if let Some((mcs, attempted)) = c.up_in_flight_meta.take() {
-                c.up_rate.on_feedback(mcs, attempted, 0);
-            }
-            c.up_retries.extend(r.to_retry.iter().copied());
-        }
+        c.up.on_ba_timeout(true);
         c.exchange_pending = false;
         c.backoff_stage = (c.backoff_stage + 1).min(6);
         self.kick_client(client, now);
@@ -314,15 +274,8 @@ impl World {
                 self.deliver_to_client(client, m.packet, now);
             }
         }
-        if self.trace_at(now) {
-            eprintln!(
-                "{now} dl_data_end ap={ap} n={} mcs={mcs:?} decoded_any={decoded_any}",
-                mpdus.len()
-            );
-        }
         if decoded_any {
             self.note_delivery(client, now);
-            self.report.dbg_ba.0 += 1;
             let ci = self.client_index(client);
             let key = self.ba_rx_key(ap);
             let (start_seq, bitmap) = self.clients[ci]
@@ -389,9 +342,6 @@ impl World {
                 if self.roll_mpdu(ap, client, now, mcs, m.packet.len) {
                     decoded.push(*m);
                 }
-            }
-            if self.trace_at(now) {
-                eprintln!("{now} ul_end ap={ap} decoded={}/{}", decoded.len(), mpdus.len());
             }
             if decoded.is_empty() {
                 continue;
@@ -483,7 +433,6 @@ impl World {
         bitmap: u64,
         now: SimTime,
     ) {
-        self.report.dbg_ba.1 += 1;
         let n_aps = self.cfg.ap_x.len() as u32;
         let wgtt = matches!(self.system, SystemState::Wgtt { .. });
         let off = self.cfg.ap_id_offset;
@@ -514,7 +463,6 @@ impl World {
                 self.backhaul_send(csi.to, csi.msg, now);
             }
             if ap == target {
-                self.report.dbg_ba.2 += 1;
                 let cleared = match &mut self.system {
                     SystemState::Wgtt { aps, .. } => {
                         aps[aui].on_block_ack(client, start_seq, bitmap);
@@ -565,20 +513,13 @@ impl World {
         if !self.roll_control(ap, client, now) {
             return;
         }
-        if self.trace_at(now) {
-            eprintln!("{now} ap_ba_at_client from={ap}");
-        }
         let ci = self.client_index(client);
-        let c = &mut self.clients[ci];
-        if c.up_ba.has_in_flight() && c.up_ba.covers_in_flight(start_seq) {
-            let r = c.up_ba.on_block_ack(start_seq, bitmap);
-            if r.duplicate {
-                return; // stale copy; keep waiting for a live BA/timeout
-            }
-            if let Some((mcs, attempted)) = c.up_in_flight_meta.take() {
-                c.up_rate.on_feedback(mcs, attempted, r.acked.len());
-            }
-            c.up_retries.extend(r.to_retry.iter().copied());
+        let up = &mut self.clients[ci].up;
+        // With nothing in flight a client ignores Block ACKs entirely (an
+        // AP still records them for duplicate detection). A stale or
+        // duplicate copy leaves the window standing: keep waiting for a
+        // live Block ACK or the timeout.
+        if up.has_in_flight() && !up.on_block_ack(start_seq, bitmap, true).duplicate {
             self.resolve_client_exchange(client, now);
         }
     }
